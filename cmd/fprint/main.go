@@ -80,7 +80,7 @@ func main() {
 		}
 		coll = telemetry.Multi(stream.Collector("fprint"), reg.Instrument())
 	}
-	fingerprint(coll, *viaScenario)
+	fingerprint(os.Stdout, coll, *viaScenario)
 	if *withTelemetry {
 		if err := stream.Flush(); err != nil {
 			fmt.Fprintf(os.Stderr, "fprint: telemetry stream: %v\n", err)
@@ -198,14 +198,24 @@ func totalEvents(snap telemetry.Snapshot) int64 {
 	return total
 }
 
-// fingerprint runs the fixed experiment matrix and prints the
-// deterministic result lines. coll, when non-nil, is attached to every
-// run; it must not change a single printed byte. viaScenario rebuilds
-// each base-matrix config from a scenario document — encode, parse,
-// compile — instead of constructing the RunConfig directly; the base
-// matrix must print byte-identically either way, and the impairment
+// fingerprint runs the fixed experiment matrix and writes the
+// deterministic result lines to w. coll, when non-nil, is attached to
+// every run; it must not change a single printed byte. viaScenario
+// rebuilds each base-matrix config from a scenario document — encode,
+// parse, compile — instead of constructing the RunConfig directly; the
+// base matrix must print byte-identically either way, and the impairment
 // variants (not expressible as scenarios) are skipped.
-func fingerprint(coll telemetry.Collector, viaScenario bool) {
+func fingerprint(w io.Writer, coll telemetry.Collector, viaScenario bool) {
+	baseMatrix(w, coll, viaScenario)
+	if !viaScenario {
+		impairmentVariants(w, coll)
+	}
+}
+
+// baseMatrix runs every CCA × seed on the plain dumbbell. Its output is
+// committed as testdata/base.golden, so any change to simulated
+// behaviour fails the package test instead of waiting for a hand diff.
+func baseMatrix(w io.Writer, coll telemetry.Collector, viaScenario bool) {
 	ccas := []string{"reno", "cubic", "cubic-nohystart", "bbr", "bbr2"}
 	for _, cca := range ccas {
 		for _, seed := range []uint64{1, 7, 42} {
@@ -224,30 +234,28 @@ func fingerprint(coll telemetry.Collector, viaScenario bool) {
 				var err error
 				cfg, err = scenarioEquivalent(cfg, cca, seed, coll)
 				if err != nil {
-					fmt.Printf("%s/%d: ERR %v\n", cca, seed, err)
+					fmt.Fprintf(w, "%s/%d: ERR %v\n", cca, seed, err)
 					continue
 				}
 			}
 			res, err := core.Run(cfg)
 			if err != nil {
-				fmt.Printf("%s/%d: ERR %v\n", cca, seed, err)
+				fmt.Fprintf(w, "%s/%d: ERR %v\n", cca, seed, err)
 				continue
 			}
-			fmt.Printf("%s/%d: events=%d drops=%d agg=%d util=%.12f burst=%.12f\n",
+			fmt.Fprintf(w, "%s/%d: events=%d drops=%d agg=%d util=%.12f burst=%.12f\n",
 				cca, seed, res.Events, res.TotalDrops, int64(res.AggregateGoodput), res.Utilization, res.DropBurstiness)
-			for i, f := range res.Flows {
-				fmt.Printf("  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
-					i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
-			}
+			printFlows(w, res.Flows)
 			for _, pt := range res.Series {
-				fmt.Printf("  s %d %v\n", int64(pt.At), pt.Rates)
+				fmt.Fprintf(w, "  s %d %v\n", int64(pt.At), pt.Rates)
 			}
 		}
 	}
-	if viaScenario {
-		return
-	}
-	// Impairment paths: jitter, burst loss, outage, codel, audit strict.
+}
+
+// impairmentVariants runs the impairment paths: jitter, burst loss,
+// outage, codel, audit strict.
+func impairmentVariants(w io.Writer, coll telemetry.Collector) {
 	variants := []struct {
 		name string
 		mut  func(*core.RunConfig)
@@ -274,15 +282,20 @@ func fingerprint(coll telemetry.Collector, viaScenario bool) {
 		v.mut(&cfg)
 		res, err := core.Run(cfg)
 		if err != nil {
-			fmt.Printf("%s: ERR %v\n", v.name, err)
+			fmt.Fprintf(w, "%s: ERR %v\n", v.name, err)
 			continue
 		}
-		fmt.Printf("%s: events=%d drops=%d rnd=%d burst=%d out=%d agg=%d util=%.12f\n",
+		fmt.Fprintf(w, "%s: events=%d drops=%d rnd=%d burst=%d out=%d agg=%d util=%.12f\n",
 			v.name, res.Events, res.TotalDrops, res.RandomDrops, res.BurstDrops, res.OutageDrops,
 			int64(res.AggregateGoodput), res.Utilization)
-		for i, f := range res.Flows {
-			fmt.Printf("  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
-				i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
-		}
+		printFlows(w, res.Flows)
+	}
+}
+
+// printFlows writes one line per flow of a run result.
+func printFlows(w io.Writer, flows []core.FlowResult) {
+	for i, f := range flows {
+		fmt.Fprintf(w, "  f%d sent=%d rtx=%d fr=%d rto=%d good=%d meanRTT=%d drops=%d\n",
+			i, f.SegmentsSent, f.Retransmissions, f.FastRecoveries, f.RTOs, int64(f.Goodput), int64(f.MeanRTT), f.Drops)
 	}
 }

@@ -26,8 +26,10 @@ type Kind string
 const (
 	// KindHeapBytes bounds the process heap a run may occupy.
 	KindHeapBytes Kind = "heap-bytes"
-	// KindEvents bounds the simulator's event-object footprint: live
-	// events plus the heap capacity holding lazily-cancelled corpses.
+	// KindEvents bounds the simulator's event-object footprint: the
+	// engine heap's entries, live events plus the lazily-cancelled
+	// corpses that stopped or pulled-in timers leave behind (a timer
+	// re-armed to a later deadline keeps its one entry).
 	KindEvents Kind = "events"
 	// KindTracePoints bounds retained instrumentation: throughput-series
 	// samples plus drop timestamps.
@@ -56,8 +58,9 @@ type Budget struct {
 	// parallel sweep it acts as a shared ceiling: whichever run observes
 	// the breach stops first.
 	HeapBytes int64 `json:"heapBytes,omitempty"`
-	// Events caps the engine's event-object footprint (live events plus
-	// heap capacity awaiting corpse collection).
+	// Events caps the engine's event-object footprint (heap entries:
+	// live events plus corpses of stopped or pulled-in timers awaiting
+	// collection).
 	Events int64 `json:"events,omitempty"`
 	// TracePoints caps retained trace points: throughput-series samples
 	// plus bottleneck drop timestamps.
@@ -155,7 +158,8 @@ type Usage struct {
 	// Events is the cumulative simulator events processed.
 	Events uint64 `json:"events"`
 	// PeakEventCap is the largest event-object footprint observed
-	// (engine heap capacity, live plus corpses).
+	// (engine heap entries, live plus corpses of stopped or pulled-in
+	// timers).
 	PeakEventCap int64 `json:"peakEventCap"`
 	// TracePoints is the largest retained trace-point count observed.
 	TracePoints int64 `json:"tracePoints,omitempty"`

@@ -137,8 +137,10 @@ func Estimate(in Input) Footprint {
 	}
 
 	// Peak event-object footprint: a handful of live timers per flow,
-	// doubled for the lazily-cancelled corpses compaction tolerates,
-	// plus the engine's initial arena.
+	// doubled for the corpses compaction tolerates, plus the engine's
+	// initial arena. Re-arms to a later deadline defer in place, so only
+	// stopped and pulled-in timers leave corpses and the doubling errs
+	// high — the safe side for an admission gate.
 	events := int64(in.Flows)*16 + 2048
 
 	// Trace retention.

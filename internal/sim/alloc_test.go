@@ -97,9 +97,9 @@ func TestHeapCompaction(t *testing.T) {
 	}
 }
 
-// TestTimerChurnBoundsHeap pins the tentpole property: a timer rearmed
-// far more often than it fires must not grow the heap without bound.
-// Before compaction, 100k rearms left 100k corpses in the heap.
+// TestTimerChurnBoundsHeap pins that a timer rearmed far more often
+// than it fires does not grow the heap: 100k rearms to a later deadline
+// keep the timer's single entry.
 func TestTimerChurnBoundsHeap(t *testing.T) {
 	eng := NewEngine()
 	tm := NewTimer(eng, func() {})
@@ -163,9 +163,8 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTimerChurnZeroAlloc budgets the rearm path: Reset (cancel + new
-// arm) on a pooled engine must be allocation-free — this is the per-ACK
-// RTO pattern.
+// TestTimerChurnZeroAlloc budgets the rearm path: Reset on a pooled
+// engine must be allocation-free — this is the per-ACK RTO pattern.
 func TestTimerChurnZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	tm := NewTimer(eng, func() {})
@@ -223,5 +222,32 @@ func TestPoolRecyclingPreservesOrder(t *testing.T) {
 		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
 			t.Fatalf("order violated at %d: (%v,%d) before (%v,%d)", i, a.at, a.seq, b.at, b.seq)
 		}
+	}
+}
+
+// TestTimerRearmLaterNoHeapOp budgets the deferred re-arm: moving an
+// armed timer to a later deadline allocates nothing and leaves the heap
+// as it was — no push, no corpse — however often it repeats.
+func TestTimerRearmLaterNoHeapOp(t *testing.T) {
+	eng := NewEngine()
+	tm := NewTimer(eng, func() {})
+	for i := 0; i < 64; i++ {
+		eng.After(Time(i), func() {})
+	}
+	tm.Reset(1000)
+	l, c := eng.Len(), eng.Cap()
+	d := Time(1000)
+	allocs := testing.AllocsPerRun(1000, func() {
+		d++
+		tm.Reset(d)
+	})
+	if allocs != 0 {
+		t.Fatalf("re-arm to a later deadline allocates %.1f objects, want 0", allocs)
+	}
+	if eng.Len() != l || eng.Cap() != c {
+		t.Fatalf("Len/Cap = %d/%d after later re-arms, want %d/%d", eng.Len(), eng.Cap(), l, c)
+	}
+	if got, _ := tm.Deadline(); got != d {
+		t.Fatalf("Deadline = %v, want %v", got, d)
 	}
 }

@@ -12,11 +12,14 @@
 //
 // The event hot path is allocation-free in steady state: fired and
 // cancelled events return to an engine-owned free list and Schedule
-// reuses them, and the binary heap compacts itself when lazily-cancelled
-// corpses outnumber live entries. At CoreScale (hundreds of millions of
-// packet, timer, and sample events per run) this is the difference
-// between running at memory speed and running at garbage-collector
-// speed.
+// reuses them. Timer churn costs no heap operation in the common case:
+// re-arming a timer to a later deadline (TCP re-arms its RTO on every
+// ACK) only records the new key on the pending entry, which Run re-files
+// when it reaches the top. Stops and re-arms to an earlier deadline
+// cancel lazily, and the binary heap compacts itself when those corpses
+// outnumber live entries. At CoreScale (hundreds of millions of packet,
+// timer, and sample events per run) this is the difference between
+// running at memory speed and running at garbage-collector speed.
 package sim
 
 import (
@@ -64,10 +67,16 @@ func (t Time) String() string { return time.Duration(t).String() }
 // created by Engine.Schedule and friends.
 //
 // Events may be cancelled while pending. Cancellation is lazy: the heap
-// entry stays in place and is discarded when popped, which keeps timer
-// churn (TCP retransmission timers are rearmed on almost every ACK)
-// cheap. The engine compacts the heap when lazily-cancelled corpses
-// outnumber live entries, so churn cannot grow the heap without bound.
+// entry stays in place and is discarded when popped. The engine compacts
+// the heap when lazily-cancelled corpses outnumber live entries, so
+// churn cannot grow the heap without bound.
+//
+// A Timer re-armed to a deadline at or after its entry's heap key
+// defers instead of cancelling: the entry stays where it is and records
+// its new key (deferAt, deferSeq). Because the new key is never smaller
+// than the old, the entry reaches the top no later than it should, and
+// Run then re-files it under the recorded key before anything else can
+// be ordered against it.
 //
 // An *Event handle is valid until the event fires or its cancellation is
 // collected: the engine then recycles the Event for a future Schedule.
@@ -81,12 +90,23 @@ type Event struct {
 	eng *Engine
 	gen uint64 // incremented on recycle; Timer's staleness check
 
+	// deferAt/deferSeq are the key a deferred re-arm reserved; the heap
+	// still files the entry under (at, seq) until Run re-files it.
+	deferAt  Time
+	deferSeq uint64
+
 	cancelled bool
 	popped    bool
+	deferred  bool
 }
 
 // At reports the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
+func (e *Event) At() Time {
+	if e.deferred {
+		return e.deferAt
+	}
+	return e.at
+}
 
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired or was already cancelled is a no-op.
@@ -177,6 +197,7 @@ func (e *Engine) release(ev *Event) {
 	ev.fn = nil
 	ev.gen++
 	ev.popped = true
+	ev.deferred = false
 	e.free = append(e.free, ev)
 }
 
@@ -264,6 +285,15 @@ func (e *Engine) Run(horizon Time) Time {
 			e.release(next)
 			continue
 		}
+		if next.deferred {
+			// A re-armed timer reached the top under its old key: file
+			// it under the key its re-arm reserved. Nothing runs, so the
+			// clock, Processed and the interrupt cadence stay untouched.
+			next.at, next.seq = next.deferAt, next.deferSeq
+			next.deferred = false
+			e.siftDown(0)
+			continue
+		}
 		if next.at > horizon {
 			e.now = horizon
 			return e.now
@@ -298,12 +328,14 @@ func (e *Engine) Run(horizon Time) Time {
 const compactMin = 64
 
 // maybeCompact rebuilds the heap without its lazily-cancelled corpses
-// once they outnumber live entries. Timer-churny workloads (TCP rearms
-// the RTO on almost every ACK) otherwise grow the heap without bound:
-// each rearm leaves a corpse whose deadline may lie far in the future,
-// surviving every pop of the run. Compaction preserves the (at, seq)
-// order exactly, so execution order — and therefore determinism — is
-// unaffected.
+// once they outnumber live entries. Stopped timers and timers re-armed
+// to an earlier deadline (TCP pulls the RTO in after a backoff, the
+// pacing timer moves with the send schedule) leave corpses whose
+// deadline may lie far in the future, surviving every pop of the run.
+// Re-arms to a later deadline defer in place and leave none. Compaction
+// preserves the (at, seq) order exactly and keeps deferred entries
+// under their old key, so execution order — and therefore determinism —
+// is unaffected.
 func (e *Engine) maybeCompact() {
 	if len(e.queue) < compactMin || len(e.queue)-e.live <= len(e.queue)/2 {
 		return
@@ -381,11 +413,10 @@ func (e *Engine) siftDown(i int) {
 }
 
 // Timer is a rearm-friendly wrapper over Schedule for the common TCP
-// pattern "reset the retransmission timer on every ACK". Reset cancels
-// any pending expiry and schedules a new one; Stop cancels. Both are
-// allocation-free in steady state: the engine recycles the underlying
-// events, and the timer's single stored callback means no closure is
-// ever created per (re)arm.
+// pattern "reset the retransmission timer on every ACK". Reset moves the
+// pending expiry; Stop cancels it. Both are allocation-free in steady
+// state: the engine recycles the underlying events, and the timer's
+// single stored callback means no closure is ever created per (re)arm.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -404,12 +435,28 @@ func (t *Timer) armed() bool {
 	return t.ev != nil && t.ev.gen == t.gen && t.ev.Pending()
 }
 
-// Reset (re)arms the timer to fire after d.
+// Reset (re)arms the timer to fire after d. A non-positive d fires at
+// the current instant, after any events already scheduled for now.
+//
+// Moving an armed timer to a deadline at or after its heap key costs no
+// heap operation: the entry records the new deadline and the sequence
+// number an eager cancel-and-schedule would have taken, so it fires at
+// exactly the same point in the event order. An earlier deadline, or a
+// timer that is not armed (stopped, fired, or firing now), schedules a
+// fresh event.
 func (t *Timer) Reset(d Time) {
+	eng := t.eng
+	at := eng.now + max(d, 0)
 	if t.armed() {
-		t.ev.Cancel()
+		ev := t.ev
+		if at >= ev.at {
+			ev.deferAt, ev.deferSeq, ev.deferred = at, eng.nextSeq, true
+			eng.nextSeq++
+			return
+		}
+		ev.Cancel()
 	}
-	t.ev = t.eng.After(d, t.fn)
+	t.ev = eng.Schedule(at, t.fn)
 	t.gen = t.ev.gen
 }
 

@@ -258,7 +258,7 @@ func TestManyEventsHeapStress(t *testing.T) {
 func TestTimerChurnStress(t *testing.T) {
 	// TCP rearms its RTO on nearly every ACK: a timer that is Reset
 	// thousands of times must fire exactly once, at the final deadline,
-	// and lazily-cancelled heap entries must all drain.
+	// and the heap must drain.
 	eng := NewEngine()
 	fires := 0
 	var firedAt Time
